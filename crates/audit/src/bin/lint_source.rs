@@ -1,5 +1,6 @@
 //! Workspace lint gate: scans every member crate's sources against the
-//! committed allowlist and exits non-zero on any new finding.
+//! committed allowlist and exits non-zero on any new finding and on any
+//! stale allowlist entry (one that matches no finding).
 //!
 //! ```text
 //! cargo run -p sm-audit --bin lint_source [-- --root DIR] [--allowlist FILE] [--list]
@@ -81,16 +82,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for entry in &outcome.stale {
-        eprintln!("lint_source: stale allowlist entry (no matching finding): {entry}");
-    }
-    if outcome.findings.is_empty() {
+    if outcome.passes() {
         println!(
-            "lint_source: clean ({} allowlisted site(s), {} stale allowlist entr(ies))",
-            outcome.allowlisted,
-            outcome.stale.len()
+            "lint_source: clean ({} allowlisted site(s))",
+            outcome.allowlisted
         );
         return ExitCode::SUCCESS;
+    }
+    for entry in &outcome.stale {
+        eprintln!("lint_source: stale allowlist entry (no matching finding): {entry}");
     }
     for finding in &outcome.findings {
         eprintln!(
@@ -99,8 +99,9 @@ fn main() -> ExitCode {
         );
     }
     eprintln!(
-        "lint_source: {} finding(s) not covered by {}",
+        "lint_source: {} uncovered finding(s) and {} stale entr(ies) against {}",
         outcome.findings.len(),
+        outcome.stale.len(),
         allowlist_path.display()
     );
     ExitCode::FAILURE

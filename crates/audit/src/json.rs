@@ -1,11 +1,13 @@
 //! Minimal JSON reading and writing for certificate artifacts.
 //!
 //! The build environment has no crates.io access, so no serde; this module
-//! is a small recursive-descent parser (the same shape as the report parser
-//! in `sm-bench`, re-implemented here so the audit layer has no dependency
-//! on the benchmarking infrastructure it is meant to check) plus a writer
-//! whose `f64` formatting uses Rust's shortest round-trip-exact
-//! representation — an artifact survives a write/read cycle bit for bit.
+//! is a small recursive-descent parser plus a writer whose `f64` formatting
+//! uses Rust's shortest round-trip-exact representation — an artifact
+//! survives a write/read cycle bit for bit. It is the workspace's one JSON
+//! parser: certificate artifacts, grid artifacts and their resume scan, the
+//! query service's JSONL protocol and the `sm-bench` reports all read
+//! through [`parse_json`], so its nesting limit ([`MAX_JSON_DEPTH`]) guards
+//! every one of them against stack exhaustion on hostile input.
 
 use std::fmt::Write as _;
 
@@ -118,15 +120,23 @@ pub fn write_json(value: &JsonValue, out: &mut String) {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level, so without a limit one line of a few hundred thousand
+/// `[` exhausts the thread's stack and aborts the process; every document
+/// this workspace writes nests fewer than ten levels deep.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or of
+/// nesting deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -140,6 +150,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -181,8 +193,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -384,5 +410,27 @@ mod tests {
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_objects = "{\"a\":".repeat(100_000);
+        assert!(parse_json(&deep_objects).is_err());
+        // The limit itself is accepted, one level more is not.
+        let at_limit = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(parse_json(&at_limit).is_ok());
+        let over = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH + 1),
+            "]".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(parse_json(&over).is_err());
     }
 }

@@ -57,9 +57,17 @@ pub struct LintOutcome {
     pub findings: Vec<Finding>,
     /// Number of findings the allowlist covered.
     pub allowlisted: usize,
-    /// Allowlist entries (`"rule path"`) that matched no finding: candidates
-    /// for removal, reported so the allowlist can only shrink.
+    /// Allowlist entries (`"rule path"`) that matched no finding. They fail
+    /// the gate too, so a fixed site must leave the allowlist in the same
+    /// change and the allowlist can only shrink.
     pub stale: Vec<String>,
+}
+
+impl LintOutcome {
+    /// Whether the gate passes: no uncovered finding and no stale entry.
+    pub fn passes(&self) -> bool {
+        self.findings.is_empty() && self.stale.is_empty()
+    }
 }
 
 /// Parses the allowlist format: one `rule path` pair per line,
@@ -662,6 +670,30 @@ mod tests {
         assert!(rules_of(bare).contains(&"unsafe-no-safety"));
         // `unsafe_code` in a forbid attribute is not the `unsafe` keyword.
         assert!(!rules_of("#![forbid(unsafe_code)]\n").contains(&"unsafe-no-safety"));
+    }
+
+    #[test]
+    fn stale_allowlist_entries_fail_the_gate() {
+        let root = std::env::temp_dir().join(format!("sm-audit-lint-stale-{}", std::process::id()));
+        let src = root.join("crates/x/src");
+        fs::create_dir_all(&src).unwrap();
+        fs::write(src.join("lib.rs"), "fn f() { x.unwrap(); }\n").unwrap();
+        let exact = lint_workspace(&root, "panic-site crates/x/src/lib.rs").unwrap();
+        let stale = lint_workspace(
+            &root,
+            "panic-site crates/x/src/lib.rs\ndirect-index crates/x/src/lib.rs",
+        )
+        .unwrap();
+        let uncovered = lint_workspace(&root, "").unwrap();
+        fs::remove_dir_all(&root).unwrap();
+        assert!(exact.passes(), "{exact:?}");
+        assert!(stale.findings.is_empty());
+        assert_eq!(
+            stale.stale,
+            vec!["direct-index crates/x/src/lib.rs".to_string()]
+        );
+        assert!(!stale.passes());
+        assert!(!uncovered.passes());
     }
 
     #[test]

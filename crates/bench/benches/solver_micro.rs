@@ -1,206 +1,29 @@
 //! Micro-benchmarks of the solver substrate: mean-payoff solvers on the
-//! selfish-mining MDP and the building blocks they rest on. These are ablation
-//! benches for the design choices discussed in DESIGN.md (value iteration vs
-//! policy iteration vs LP; bisection vs Dinkelbach search).
+//! selfish-mining MDP and the building blocks they rest on (relative value
+//! iteration vs exact policy iteration; bisection vs Dinkelbach search).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use selfish_mining::baselines::SingleTreeAttack;
 use selfish_mining::experiments::{coarse_p_grid, PAPER_GAMMA_GRID};
 use selfish_mining::{
-    available_actions, successors, AnalysisConfig, AnalysisProcedure, AttackParams,
-    ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
+    AnalysisConfig, AnalysisProcedure, AttackParams, ParametricModel, SelfishMiningModel,
+    SolverParallelism,
 };
-use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, RelativeValueIteration, SweepKernel};
+use sm_mdp::{PolicyIteration, RelativeValueIteration};
 use sm_sweep::SweepConfig;
-use std::collections::{HashMap, VecDeque};
 
 fn model() -> SelfishMiningModel {
     let params = AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap();
     SelfishMiningModel::build(&params).unwrap()
 }
 
-/// The seed's pre-CSR MDP representation, reproduced verbatim for the
-/// before/after benchmark: one heap-allocated `Vec<(usize, f64)>` transition
-/// list per named action, nested per state — the layout the flat arena
-/// replaced. Kept self-contained in this bench so the comparison measures the
-/// *actual* old representation, not today's builders in disguise.
-struct LegacyAction {
-    #[allow(dead_code)]
-    name: String,
-    transitions: Vec<(usize, f64)>,
-}
-
-struct LegacyMdp {
-    states: Vec<Vec<LegacyAction>>,
-}
-
-/// The seed's construction pipeline: BFS staging every outcome into nested
-/// `Vec<Vec<Vec<…>>>` buffers, then a second pass assembling the nested-`Vec`
-/// model and per-action expected rewards. `SelfishMiningModel::build` streams
-/// straight into the CSR arena instead.
-#[allow(clippy::type_complexity)]
-fn legacy_nested_build(params: &AttackParams) -> (LegacyMdp, Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let initial = SmState::initial(params);
-    let mut index_of: HashMap<SmState, usize> = HashMap::new();
-    let mut states: Vec<SmState> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    index_of.insert(initial.clone(), 0);
-    states.push(initial);
-    queue.push_back(0);
-
-    let mut actions_per_state: Vec<Vec<String>> = Vec::new();
-    let mut outcomes: Vec<Vec<Vec<(usize, f64, f64, f64)>>> = Vec::new();
-    while let Some(index) = queue.pop_front() {
-        let state = states[index].clone();
-        let state_actions = available_actions(params, &state);
-        let mut per_action = Vec::with_capacity(state_actions.len());
-        for action in &state_actions {
-            let outs = successors(params, &state, action).unwrap();
-            let mut entries = Vec::with_capacity(outs.len());
-            for out in outs {
-                let target = match index_of.get(&out.state) {
-                    Some(&existing) => existing,
-                    None => {
-                        let new_index = states.len();
-                        index_of.insert(out.state.clone(), new_index);
-                        states.push(out.state);
-                        queue.push_back(new_index);
-                        new_index
-                    }
-                };
-                entries.push((
-                    target,
-                    out.probability,
-                    f64::from(out.rewards.adversary),
-                    f64::from(out.rewards.honest),
-                ));
-            }
-            per_action.push(entries);
-        }
-        actions_per_state.push(state_actions.iter().map(|a| a.name()).collect());
-        outcomes.push(per_action);
-    }
-
-    let num_states = states.len();
-    let mut model_states: Vec<Vec<LegacyAction>> = Vec::with_capacity(num_states);
-    let mut expected_adv: Vec<Vec<f64>> = Vec::with_capacity(num_states);
-    let mut expected_hon: Vec<Vec<f64>> = Vec::with_capacity(num_states);
-    for state_index in 0..num_states {
-        let mut actions = Vec::new();
-        let mut adv_row = Vec::new();
-        let mut hon_row = Vec::new();
-        for (name, entries) in actions_per_state[state_index]
-            .iter()
-            .zip(&outcomes[state_index])
-        {
-            // Sort-and-merge duplicate targets, as the seed's MdpBuilder did.
-            let mut transitions: Vec<(usize, f64)> =
-                entries.iter().map(|&(t, p, _, _)| (t, p)).collect();
-            transitions.sort_by_key(|&(t, _)| t);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(transitions.len());
-            for (target, p) in transitions {
-                match merged.last_mut() {
-                    Some(last) if last.0 == target => last.1 += p,
-                    _ => merged.push((target, p)),
-                }
-            }
-            actions.push(LegacyAction {
-                name: name.clone(),
-                transitions: merged,
-            });
-            adv_row.push(entries.iter().map(|&(_, p, a, _)| p * a).sum());
-            hon_row.push(entries.iter().map(|&(_, p, _, h)| p * h).sum());
-        }
-        model_states.push(actions);
-        expected_adv.push(adv_row);
-        expected_hon.push(hon_row);
-    }
-    (
-        LegacyMdp {
-            states: model_states,
-        },
-        expected_adv,
-        expected_hon,
-    )
-}
-
-/// The seed's relative-value-iteration inner loop, verbatim over the nested
-/// representation: per-state action `Vec`s, per-action transition `Vec`s,
-/// pointer-chasing through both on every sweep.
-fn legacy_rvi(mdp: &LegacyMdp, expected: &[Vec<f64>], epsilon: f64) -> f64 {
-    let n = mdp.states.len();
-    let tau = 0.95;
-    let mut h = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    let mut best_action = vec![0usize; n];
-    let reference = 0;
-    for _ in 1..=2_000_000usize {
-        let mut min_delta = f64::INFINITY;
-        let mut max_delta = f64::NEG_INFINITY;
-        for s in 0..n {
-            let mut best = f64::NEG_INFINITY;
-            let mut best_a = 0;
-            for (a, action) in mdp.states[s].iter().enumerate() {
-                let mut value = expected[s][a];
-                for &(t, p) in &action.transitions {
-                    value += p * h[t] * tau;
-                }
-                value += (1.0 - tau) * h[s];
-                if value > best {
-                    best = value;
-                    best_a = a;
-                }
-            }
-            next[s] = best;
-            best_action[s] = best_a;
-            let delta = best - h[s];
-            min_delta = min_delta.min(delta);
-            max_delta = max_delta.max(delta);
-        }
-        let offset = next[reference];
-        for s in 0..n {
-            h[s] = next[s] - offset;
-        }
-        if max_delta - min_delta < epsilon {
-            // Keep the strategy bookkeeping observable so the optimizer
-            // cannot elide it (the real solver returns the strategy too).
-            criterion::black_box(&best_action);
-            return 0.5 * (min_delta + max_delta);
-        }
-    }
-    panic!("legacy RVI failed to converge");
-}
-
-/// Before/after of the tentpole refactor: model construction plus one
-/// relative-value-iteration solve of `r_β = r_A − β(r_A + r_H)`, through the
-/// seed's nested-`Vec` pipeline (staging copy, nested model, pointer-chasing
-/// sweep) vs. today's streamed flat CSR arena.
+/// Model construction plus one relative-value-iteration solve of
+/// `r_β = r_A − β(r_A + r_H)` through the streamed flat CSR arena.
 fn bench_construction_plus_vi(c: &mut Criterion) {
     let mut group = c.benchmark_group("csr/build_plus_vi");
     group.sample_size(10);
     let beta = 0.35;
     for (depth, forks) in [(2usize, 1usize), (2, 2)] {
         let params = AttackParams::new(0.3, 0.5, depth, forks, 4).unwrap();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("nested_legacy_d{depth}_f{forks}")),
-            &params,
-            |b, params| {
-                b.iter(|| {
-                    let (mdp, adv, hon) = legacy_nested_build(params);
-                    let expected_beta: Vec<Vec<f64>> = adv
-                        .iter()
-                        .zip(&hon)
-                        .map(|(ar, hr)| {
-                            ar.iter()
-                                .zip(hr)
-                                .map(|(&a, &h)| a - beta * (a + h))
-                                .collect()
-                        })
-                        .collect();
-                    legacy_rvi(&mdp, &expected_beta, 1e-6)
-                });
-            },
-        );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("csr_stream_d{depth}_f{forks}")),
             &params,
@@ -223,19 +46,18 @@ fn bench_mean_payoff_methods(c: &mut Criterion) {
     let model = model();
     let rewards = model.beta_rewards(0.35).unwrap();
     let mut group = c.benchmark_group("solver/mean_payoff_d2_f1");
-    for (name, method) in [
-        (
-            "value_iteration",
-            MeanPayoffMethod::ValueIteration { epsilon: 1e-6 },
-        ),
-        ("policy_iteration", MeanPayoffMethod::PolicyIteration),
-        ("linear_programming", MeanPayoffMethod::LinearProgramming),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &method, |b, method| {
-            let solver = MeanPayoffSolver::new(method.clone());
-            b.iter(|| solver.solve(model.mdp(), &rewards).unwrap().gain);
+    group.bench_function("value_iteration", |b| {
+        let solver = RelativeValueIteration::with_epsilon(1e-6);
+        b.iter(|| solver.solve(model.mdp(), &rewards).unwrap().gain);
+    });
+    group.bench_function("policy_iteration", |b| {
+        b.iter(|| {
+            PolicyIteration::default()
+                .solve(model.mdp(), &rewards)
+                .unwrap()
+                .0
         });
-    }
+    });
     group.finish();
 }
 
@@ -297,16 +119,13 @@ fn bench_intra_parallel_scaling(c: &mut Criterion) {
     }
 }
 
-/// Sweep-kernel ablation on one relative-value-iteration solve at fixed
-/// `β = 0.35`: full Jacobi sweeps vs in-place Gauss-Seidel evaluation
-/// sweeps vs the prioritized residual-thresholded variant. Certified bounds
-/// come from full Jacobi Bellman sweeps under every kernel, so the three
-/// rows solve the same problem to the same certificate — only the
-/// wall-clock time may differ. The `d = 3, f = 2` and `d = 4, f = 3` rows
-/// are gated behind `SM_BENCH_EXPENSIVE` (the d4f3 arena holds millions of
-/// states); their numbers feed the "Scaling to d = 4, f = 3" section of
-/// EXPERIMENTS.md.
-fn bench_sweep_kernels(c: &mut Criterion) {
+/// One cold relative-value-iteration solve at fixed `β = 0.35` per
+/// topology: the Jacobi rows of the former sweep-kernel ablation, whose
+/// `solver/kernel_*/jacobi` names the baselines keep. The `d = 3, f = 2` and
+/// `d = 4, f = 3` rows are gated behind `SM_BENCH_EXPENSIVE` (the d4f3 arena
+/// holds millions of states); their numbers feed the "Scaling to d = 4,
+/// f = 3" section of EXPERIMENTS.md.
+fn bench_jacobi_solve(c: &mut Criterion) {
     // `(depth, forks, levels)`: the d4f3 scale target runs at level budget
     // l = 2 — the only budget whose reachable set fits the solver's default
     // 12M-state limit (~3.0M states / 22.9M transitions at l = 2).
@@ -325,16 +144,10 @@ fn bench_sweep_kernels(c: &mut Criterion) {
         let epsilon = if depth >= 4 { 1e-4 } else { 1e-6 };
         let mut group = c.benchmark_group(format!("solver/kernel_d{depth}_f{forks}"));
         group.sample_size(3);
-        for (name, kernel) in [
-            ("jacobi", SweepKernel::Jacobi),
-            ("gauss_seidel", SweepKernel::GaussSeidel),
-            ("prioritized", SweepKernel::Prioritized { threshold: 1e-7 }),
-        ] {
-            group.bench_with_input(BenchmarkId::from_parameter(name), &kernel, |b, &kernel| {
-                let solver = RelativeValueIteration::with_epsilon(epsilon).with_kernel(kernel);
-                b.iter(|| solver.solve(model.mdp(), &rewards).unwrap().gain);
-            });
-        }
+        group.bench_function("jacobi", |b| {
+            let solver = RelativeValueIteration::with_epsilon(epsilon);
+            b.iter(|| solver.solve(model.mdp(), &rewards).unwrap().gain);
+        });
         group.finish();
     }
 }
@@ -347,7 +160,7 @@ fn bench_d4f3_thread_scaling(c: &mut Criterion) {
     if !sm_bench::expensive_enabled() {
         return;
     }
-    // Level budget l = 2: see `bench_sweep_kernels` for the sizing argument.
+    // Level budget l = 2: see `bench_jacobi_solve` for the sizing argument.
     let family = ParametricModel::build(4, 3, 2).unwrap();
     let model = family.instantiate(0.3, 0.5).unwrap();
     let rewards = model.beta_rewards(0.35).unwrap();
@@ -384,96 +197,17 @@ fn bench_model_construction(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed's per-point analysis pipeline, reproduced verbatim for the
-/// before/after sweep benchmark: a cold Dinkelbach iteration from `β = 0`
-/// with pure (non-interleaved) relative value iteration at the seed's inner
-/// precision `10⁻⁶`, the exact revenue evaluated as two *separate*
-/// `iterative_gain` passes over the induced chain, and the historical
-/// `finalize` that re-solved the MDP at `β_low`. Kept self-contained in this
-/// bench so the comparison measures the pipeline this PR replaced, not
-/// today's (already accelerated) shared components in disguise.
-fn seed_dinkelbach_revenue(model: &SelfishMiningModel, epsilon: f64) -> f64 {
-    let solver = RelativeValueIteration {
-        epsilon: 1e-6,
-        evaluation_sweeps: 0,
-        ..Default::default()
-    };
-    let seed_revenue = |strategy: &sm_mdp::PositionalStrategy| -> f64 {
-        let chain = model.mdp().induced_chain(strategy).unwrap();
-        let r_adv = model
-            .adversary_rewards()
-            .strategy_rewards(model.mdp(), strategy)
-            .unwrap();
-        let r_hon = model
-            .honest_rewards()
-            .strategy_rewards(model.mdp(), strategy)
-            .unwrap();
-        let adv = sm_markov::iterative_gain(&chain, &r_adv, 1e-9, 5_000_000).unwrap();
-        let hon = sm_markov::iterative_gain(&chain, &r_hon, 1e-9, 5_000_000).unwrap();
-        adv / (adv + hon)
-    };
-    let mut beta = 0.0;
-    for _ in 0..200 {
-        let rewards = model.beta_rewards(beta).unwrap();
-        let result = solver.solve(model.mdp(), &rewards).unwrap();
-        let revenue = seed_revenue(&result.strategy);
-        if (revenue - beta).abs() < epsilon || result.gain.abs() <= 1e-9 {
-            // The seed's finalize: one more full solve at β_low plus one more
-            // revenue evaluation.
-            let rewards = model.beta_rewards(revenue.min(1.0)).unwrap();
-            let finalized = solver.solve(model.mdp(), &rewards).unwrap();
-            return seed_revenue(&finalized.strategy);
-        }
-        beta = revenue;
-    }
-    panic!("seed dinkelbach failed to converge");
-}
-
-/// Before/after of the parameterized-arena tentpole on the acceptance
-/// workload: the full Figure-2 coarse sweep (`coarse_p_grid` ×
-/// `PAPER_GAMMA_GRID` × the default attack grid, single-tree baseline
-/// included).
-///
-/// * `per_point_rebuild` — the pipeline this PR replaced: a full
-///   breadth-first model construction plus the seed's cold Dinkelbach
-///   analysis ([`seed_dinkelbach_revenue`]) for every single grid point.
-/// * `parametric_warm_engine` — the `sm-sweep` engine: one parametric arena
-///   per `(d, f)` shared across the grid, in-place `(p, γ)` re-instantiation
-///   per point, and warm-started solves along each `p` curve, fanned out
-///   over the worker pool.
-///
-/// Measured numbers are recorded in CHANGES.md / EXPERIMENTS.md.
+/// The full Figure-2 coarse sweep (`coarse_p_grid` × `PAPER_GAMMA_GRID` ×
+/// the default attack grid, single-tree baseline included) through the
+/// `sm-sweep` engine: one parametric arena per `(d, f)` shared across the
+/// grid, in-place `(p, γ)` re-instantiation per point, and warm-started
+/// solves along each `p` curve, fanned out over the worker pool.
 fn bench_figure2_coarse_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep/figure2_coarse");
     group.sample_size(2);
     let attack_grid = [(1usize, 1usize), (2, 1), (2, 2)];
     let epsilon = 1e-3;
     let ps = coarse_p_grid();
-
-    group.bench_function("per_point_rebuild", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &gamma in &PAPER_GAMMA_GRID {
-                for &p in &ps {
-                    for &(depth, forks) in &attack_grid {
-                        let params = AttackParams::new(p, gamma, depth, forks, 4).unwrap();
-                        let model = SelfishMiningModel::build(&params).unwrap();
-                        acc += seed_dinkelbach_revenue(&model, epsilon);
-                    }
-                    let single_tree = SingleTreeAttack {
-                        p,
-                        gamma,
-                        max_depth: 4,
-                        max_width: 5,
-                    }
-                    .analyse()
-                    .unwrap();
-                    acc += single_tree.relative_revenue;
-                }
-            }
-            acc
-        });
-    });
 
     group.bench_function("parametric_warm_engine", |b| {
         let config = SweepConfig {
@@ -606,7 +340,7 @@ criterion_group!(
     bench_model_construction,
     bench_construction_plus_vi,
     bench_intra_parallel_scaling,
-    bench_sweep_kernels,
+    bench_jacobi_solve,
     bench_d4f3_thread_scaling,
     bench_figure2_coarse_sweep,
     bench_certificate_audit,

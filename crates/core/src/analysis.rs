@@ -13,9 +13,7 @@
 //! the search strategy; both return the same value up to the precision.
 
 use crate::{SelfishMiningError, SelfishMiningModel};
-use sm_mdp::{
-    MeanPayoffMethod, MeanPayoffSolver, PositionalStrategy, SolverParallelism, SweepKernel,
-};
+use sm_mdp::{PositionalStrategy, RelativeValueIteration, SolverParallelism};
 
 /// Iteration cap of the Dinkelbach-style acceleration. Each iteration
 /// strictly increases `β` towards the fixed point `ERRev*`, so well-behaved
@@ -29,8 +27,9 @@ pub struct AnalysisConfig {
     /// The paper's precision parameter `ε`: on termination
     /// `β_up − β_low < ε` and the returned value is an `ε`-tight lower bound.
     pub epsilon: f64,
-    /// Mean-payoff solver used for the inner optimisations.
-    pub solver: MeanPayoffMethod,
+    /// Precision of the inner mean-payoff solves: the width of the certified
+    /// gain interval each relative-value-iteration solve stops at.
+    pub inner_epsilon: f64,
     /// Tolerance below which an inner mean payoff is considered zero when the
     /// certified interval straddles zero (guards the sign test against solver
     /// precision).
@@ -43,40 +42,30 @@ pub struct AnalysisConfig {
     /// Defaults to serial — the `sm-sweep` engine raises it per job from its
     /// global thread budget.
     pub parallelism: SolverParallelism,
-    /// Sweep kernel of the inner mean-payoff solves. The certified `β`
-    /// bounds come from the pure-Jacobi revenue evaluations and the inner
-    /// solvers' full Bellman sweeps regardless of the kernel, so any kernel
-    /// yields a valid `ε`-tight bracket; the Gauss-Seidel and prioritized
-    /// kernels only change how fast the interleaved accelerator sweeps
-    /// contract (see [`sm_mdp::SweepKernel`]).
-    pub kernel: SweepKernel,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
             epsilon: 1e-3,
-            solver: MeanPayoffMethod::ValueIteration { epsilon: 1e-6 },
+            inner_epsilon: 1e-6,
             zero_tolerance: 1e-9,
             parallelism: SolverParallelism::serial(),
-            kernel: SweepKernel::Jacobi,
         }
     }
 }
 
 impl AnalysisConfig {
-    /// Creates a configuration with the given `ε` and the default inner
-    /// solver, choosing the inner precision a couple of orders of magnitude
-    /// tighter than `ε` — tight enough that inner-solver noise is invisible
-    /// next to `ε` (the sign test additionally consumes the certified gain
-    /// interval, so a straddling solve can never flip a bracket), while not
-    /// wasting sweeps on precision no consumer observes.
+    /// Creates a configuration with the given `ε`, choosing the inner
+    /// precision a couple of orders of magnitude tighter than `ε` — tight
+    /// enough that inner-solver noise is invisible next to `ε` (the sign
+    /// test additionally consumes the certified gain interval, so a
+    /// straddling solve can never flip a bracket), while not wasting sweeps
+    /// on precision no consumer observes.
     pub fn with_epsilon(epsilon: f64) -> Self {
         AnalysisConfig {
             epsilon,
-            solver: MeanPayoffMethod::ValueIteration {
-                epsilon: (epsilon * 1e-2).max(1e-9),
-            },
+            inner_epsilon: (epsilon * 1e-2).max(1e-9),
             ..AnalysisConfig::default()
         }
     }
@@ -89,12 +78,11 @@ impl AnalysisConfig {
         self
     }
 
-    /// Returns the configuration with the given inner sweep kernel (see the
-    /// [`AnalysisConfig::kernel`] field).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.kernel = kernel;
-        self
+    /// The inner mean-payoff solver: relative value iteration at
+    /// [`AnalysisConfig::inner_epsilon`] with this configuration's
+    /// parallelism.
+    fn inner_solver(&self) -> RelativeValueIteration {
+        RelativeValueIteration::with_epsilon(self.inner_epsilon).with_parallelism(self.parallelism)
     }
 }
 
@@ -104,15 +92,13 @@ pub struct SolveStep {
     /// The `β` value the MDP was solved for.
     pub beta: f64,
     /// The optimal mean payoff `MP*_β` reported by the solver (midpoint of
-    /// the certified interval for value iteration).
+    /// the certified interval).
     pub mean_payoff: f64,
-    /// Certified lower bound on `MP*_β` (equals `mean_payoff` for the exact
-    /// solvers).
+    /// Certified lower bound on `MP*_β`.
     pub gain_lower: f64,
-    /// Certified upper bound on `MP*_β` (equals `mean_payoff` for the exact
-    /// solvers).
+    /// Certified upper bound on `MP*_β`.
     pub gain_upper: f64,
-    /// Number of solver iterations.
+    /// Number of relative-value-iteration sweeps.
     pub iterations: usize,
 }
 
@@ -129,9 +115,8 @@ pub struct DinkelbachWarmStart {
     /// lower bound), from which the ascent resumes — the termination test
     /// `|revenue − β| < ε` brackets `ERRev*` within `ε` in both cases.
     pub beta: f64,
-    /// Bias vector seeding the first inner relative-value-iteration solve
-    /// (ignored, and returned empty, for the exact inner solvers). An empty
-    /// vector means "start cold".
+    /// Bias vector seeding the first inner relative-value-iteration solve.
+    /// An empty (or mis-shaped) vector means "start cold".
     pub bias: Vec<f64>,
     /// Bias vectors (one per base reward function) seeding the iterative
     /// revenue evaluations on the induced chains. Empty means "start cold".
@@ -157,9 +142,8 @@ pub struct AnalysisResult {
     /// Final bias vector of the last inner relative-value-iteration solve —
     /// the witness that lets an *independent* checker re-validate the
     /// certificate with single Jacobi Bellman-residual passes (see the
-    /// `sm-audit` crate). Empty when the inner solver is one of the exact
-    /// methods (they carry no bias) or when the bisection path terminated
-    /// without a seeded solve.
+    /// `sm-audit` crate). Empty when the bisection path terminated without
+    /// a seeded solve.
     pub bias: Vec<f64>,
     /// One entry per inner mean-payoff solve.
     pub steps: Vec<SolveStep>,
@@ -177,7 +161,8 @@ impl AnalysisProcedure {
         AnalysisProcedure { config }
     }
 
-    /// Creates a procedure with precision `ε` and default solver choices.
+    /// Creates a procedure with precision `ε` and the default inner
+    /// precision for it.
     pub fn with_epsilon(epsilon: f64) -> Self {
         AnalysisProcedure::new(AnalysisConfig::with_epsilon(epsilon))
     }
@@ -200,9 +185,7 @@ impl AnalysisProcedure {
                 constraint: "must be positive",
             });
         }
-        let solver = MeanPayoffSolver::new(self.config.solver.clone())
-            .with_parallelism(self.config.parallelism)
-            .with_kernel(self.config.kernel);
+        let solver = self.config.inner_solver();
         let mut beta_low: f64 = 0.0;
         let mut beta_up: f64 = 1.0;
         let mut steps = Vec::new();
@@ -277,10 +260,9 @@ impl AnalysisProcedure {
     /// Correctness does not depend on the warm start: any finite bias vector
     /// is a valid RVI starting point, and any `warm.beta` that lower-bounds
     /// the instance's `ERRev*` (e.g. the certified `β_low` at a smaller `p`)
-    /// preserves the monotone convergence of the Dinkelbach iteration. The
-    /// bias seeding only applies to the
-    /// [`MeanPayoffMethod::ValueIteration`] inner solver; the exact solvers
-    /// run unseeded and return an empty carry-over bias.
+    /// preserves the monotone convergence of the Dinkelbach iteration. A
+    /// bias that does not cover every state of the model is ignored and the
+    /// solve starts cold.
     ///
     /// # Errors
     ///
@@ -296,9 +278,7 @@ impl AnalysisProcedure {
                 constraint: "must be positive",
             });
         }
-        let solver = MeanPayoffSolver::new(self.config.solver.clone())
-            .with_parallelism(self.config.parallelism)
-            .with_kernel(self.config.kernel);
+        let solver = self.config.inner_solver();
         let mut bias: Vec<f64> = warm.map(|w| w.bias.clone()).unwrap_or_default();
         let mut evaluation_bias: Vec<Vec<f64>> =
             warm.map(|w| w.evaluation_bias.clone()).unwrap_or_default();
@@ -306,9 +286,11 @@ impl AnalysisProcedure {
         let mut steps = Vec::new();
         for _ in 0..DINKELBACH_ITERATION_LIMIT {
             let rewards = model.beta_rewards(beta)?;
-            let seed = (!bias.is_empty()).then_some(bias.as_slice());
-            let (result, carry_bias) = solver.solve_seeded(model.mdp(), &rewards, seed)?;
-            bias = carry_bias;
+            let result = if bias.len() == model.mdp().num_states() {
+                solver.solve_from(model.mdp(), &rewards, &bias)?
+            } else {
+                solver.solve(model.mdp(), &rewards)?
+            };
             steps.push(SolveStep {
                 beta,
                 mean_payoff: result.gain,
@@ -335,15 +317,16 @@ impl AnalysisProcedure {
                     steps,
                     Some(result.strategy),
                     Some(revenue),
-                    bias.clone(),
+                    result.bias.clone(),
                 )?;
                 let carry = DinkelbachWarmStart {
                     beta: analysis.beta_low,
-                    bias,
+                    bias: result.bias,
                     evaluation_bias,
                 };
                 return Ok((analysis, carry));
             }
+            bias = result.bias;
             beta = revenue;
         }
         Err(SelfishMiningError::ConvergenceFailure {
@@ -376,11 +359,11 @@ impl AnalysisProcedure {
             None => {
                 // Only reachable when no bisection step ever moved the lower
                 // end (e.g. ε ≥ 1): solve once at β_low for the strategy.
-                let solver = MeanPayoffSolver::new(self.config.solver.clone())
-                    .with_parallelism(self.config.parallelism)
-                    .with_kernel(self.config.kernel);
                 let rewards = model.beta_rewards(beta_low)?;
-                solver.solve(model.mdp(), &rewards)?.strategy
+                self.config
+                    .inner_solver()
+                    .solve(model.mdp(), &rewards)?
+                    .strategy
             }
         };
         let strategy_revenue = match strategy_revenue {
@@ -474,6 +457,33 @@ mod tests {
         );
         // Dinkelbach needs far fewer inner solves than bisection for small ε.
         assert!(dink.steps.len() <= bisect.steps.len() + 2);
+    }
+
+    #[test]
+    fn tie_refinement_runs_on_the_pinned_d4f1_certify() {
+        // The cold ε = 1e-3 certify of d4f1l4 at p = 0.35, γ = 0.5 is a
+        // pinned benchmark output. Borderline-tie refinement
+        // (`STRATEGY_TIE_GUARD`) adds sweeps to it: 318 in total, 291 with
+        // the guard off, with the same β bits either way.
+        let family = crate::ParametricModel::build(4, 1, 4).unwrap();
+        let model = family.instantiate(0.35, 0.5).unwrap();
+        let procedure = AnalysisProcedure::with_epsilon(1e-3);
+        let result = procedure.solve_dinkelbach(&model).unwrap();
+        let sweeps: usize = result.steps.iter().map(|step| step.iterations).sum();
+        assert_eq!((result.steps.len(), sweeps), (3, 318));
+        assert_eq!(result.beta_low.to_bits(), 4603529700801165379);
+        assert_eq!(result.beta_up.to_bits(), 4603538708000420120);
+        // The final strategy came out of a solve warm-started from the
+        // previous Dinkelbach step; a cold solve of the same inner problem
+        // must export the same strategy.
+        let last = result.steps.last().unwrap();
+        let rewards = model.beta_rewards(last.beta).unwrap();
+        let cold = procedure
+            .config()
+            .inner_solver()
+            .solve(model.mdp(), &rewards)
+            .unwrap();
+        assert_eq!(cold.strategy, result.strategy);
     }
 
     #[test]

@@ -218,8 +218,7 @@ pub struct CertifiedSolve {
     /// Final bias vector of the certifying solve — the witness an
     /// independent checker (the `sm-audit` crate) replays single
     /// Bellman-residual passes against to re-validate `[β_low, β_up]`
-    /// without re-running the solver. Empty when the inner solver carries
-    /// no bias (exact methods).
+    /// without re-running the solver.
     pub bias: Vec<f64>,
 }
 
@@ -249,7 +248,8 @@ pub fn attack_curve_certified(
 }
 
 /// [`attack_curve_certified`] with intra-solve parallelism (see
-/// [`attack_curve_with`]); bit-identical certificates for any thread count.
+/// [`attack_curve_with`]); bit-identical certificates — bias vectors
+/// included — for any thread count.
 ///
 /// # Errors
 ///
@@ -262,31 +262,7 @@ pub fn attack_curve_certified_with(
     warm_start: bool,
     parallelism: SolverParallelism,
 ) -> Result<Vec<CertifiedSolve>, SelfishMiningError> {
-    attack_curve_certified_config(
-        family,
-        gamma,
-        ps,
-        warm_start,
-        AnalysisConfig::with_epsilon(epsilon).with_parallelism(parallelism),
-    )
-}
-
-/// [`attack_curve_certified`] under a full [`AnalysisConfig`] — the entry
-/// point for configuring the sweep kernel on top of thread count. Certified
-/// β bounds, strategies and revenues are bit-identical for any kernel and
-/// any thread count: the certificates only ever come from full Jacobi
-/// sweeps, the kernels accelerate the interleaved evaluation sweeps.
-///
-/// # Errors
-///
-/// Propagates instantiation and solver errors.
-pub fn attack_curve_certified_config(
-    family: &ParametricModel,
-    gamma: f64,
-    ps: &[f64],
-    warm_start: bool,
-    config: AnalysisConfig,
-) -> Result<Vec<CertifiedSolve>, SelfishMiningError> {
+    let config = AnalysisConfig::with_epsilon(epsilon).with_parallelism(parallelism);
     let mut tracker = CurveTracker::new(family, gamma, warm_start, config);
     ps.iter().map(|&p| tracker.advance(p)).collect()
 }
@@ -295,7 +271,7 @@ pub fn attack_curve_certified_config(
 /// Dinkelbach carry (`β` seed + bias vectors) and the `(p, β_low)` history
 /// driving the quadratic `β` extrapolation.
 ///
-/// [`attack_curve_certified_config`] is a thin loop over
+/// [`attack_curve_certified_with`] is a thin loop over
 /// [`CurveTracker::advance`]; the query service holds trackers *open* across
 /// requests instead, so a cached curve keeps warm-starting new points for as
 /// long as it stays resident. The certificate produced for a point is a pure
@@ -707,7 +683,7 @@ mod tests {
         let family = ParametricModel::build(2, 1, 4).unwrap();
         let config = AnalysisConfig::with_epsilon(5e-3);
         let mut plain = CurveTracker::new(&family, 0.5, true, config.clone());
-        let mut probed = CurveTracker::new(&family, 0.5, true, config.clone());
+        let mut probed = CurveTracker::new(&family, 0.5, true, config);
         let mut plain_solves = Vec::new();
         let mut probed_solves = Vec::new();
         for &p in &[0.1, 0.2, 0.3] {
@@ -725,8 +701,15 @@ mod tests {
         // Probing from identical chain state is reproducible bit for bit.
         assert_eq!(plain.probe(0.25).unwrap(), probed.probe(0.25).unwrap());
         // And the legacy curve entry point is exactly a fold over advance.
-        let wrapped =
-            attack_curve_certified_config(&family, 0.5, &[0.1, 0.2, 0.3], true, config).unwrap();
+        let wrapped = attack_curve_certified_with(
+            &family,
+            0.5,
+            &[0.1, 0.2, 0.3],
+            5e-3,
+            true,
+            SolverParallelism::serial(),
+        )
+        .unwrap();
         assert_eq!(wrapped, plain_solves);
     }
 

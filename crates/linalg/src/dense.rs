@@ -10,7 +10,7 @@ use std::ops::{Add, Mul, Sub};
 /// operations are `O(rows * cols)` or `O(rows * cols * inner)` loops. The MDPs
 /// produced by the selfish-mining model have sparse transition structure and
 /// are handled by [`crate::CsrMatrix`]; the dense type is used for the small
-/// dense systems arising in policy evaluation and the simplex tableau.
+/// dense systems arising in policy evaluation.
 ///
 /// # Example
 ///

@@ -26,15 +26,6 @@ pub enum LinalgError {
     SingularMatrix,
     /// A matrix was constructed from rows of differing lengths.
     RaggedRows,
-    /// The linear program is infeasible.
-    Infeasible,
-    /// The linear program is unbounded in the direction of optimisation.
-    Unbounded,
-    /// The simplex solver exceeded its iteration budget (cycling safeguard).
-    IterationLimit {
-        /// The iteration budget that was exhausted.
-        limit: usize,
-    },
     /// An index was out of bounds.
     IndexOutOfBounds {
         /// The offending index.
@@ -75,11 +66,6 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::SingularMatrix => write!(f, "matrix is singular"),
             LinalgError::RaggedRows => write!(f, "rows have differing lengths"),
-            LinalgError::Infeasible => write!(f, "linear program is infeasible"),
-            LinalgError::Unbounded => write!(f, "linear program is unbounded"),
-            LinalgError::IterationLimit { limit } => {
-                write!(f, "simplex iteration limit of {limit} exceeded")
-            }
             LinalgError::IndexOutOfBounds { index, len } => {
                 write!(f, "index {index} out of bounds for length {len}")
             }
@@ -116,9 +102,6 @@ mod tests {
             ),
             (LinalgError::SingularMatrix, "singular"),
             (LinalgError::RaggedRows, "differing lengths"),
-            (LinalgError::Infeasible, "infeasible"),
-            (LinalgError::Unbounded, "unbounded"),
-            (LinalgError::IterationLimit { limit: 10 }, "10"),
             (
                 LinalgError::IndexOutOfBounds { index: 5, len: 3 },
                 "out of bounds",

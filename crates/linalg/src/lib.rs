@@ -12,8 +12,6 @@
 //!   matrices of Markov chains induced by strategies.
 //! * [`LuDecomposition`] / [`solve_linear_system`] — LU factorisation with
 //!   partial pivoting, used for policy evaluation (gain/bias equations).
-//! * [`LinearProgram`] / [`SimplexSolver`] — a two-phase primal simplex
-//!   solver used by the LP formulation of mean-payoff optimisation.
 //!
 //! # Example
 //!
@@ -35,14 +33,12 @@
 mod dense;
 mod error;
 mod lu;
-mod simplex;
 mod sparse;
 mod vector;
 
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use lu::{solve_linear_system, LuDecomposition};
-pub use simplex::{Comparison, LinearProgram, LpSolution, LpStatus, ObjectiveSense, SimplexSolver};
 pub use sparse::{CsrMatrix, Triplet, COMPACT_INDEX_LIMIT};
 pub use vector::{axpy, dot, infinity_norm, l1_norm, l2_norm, max_abs_diff, scale, span_seminorm};
 

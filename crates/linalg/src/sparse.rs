@@ -7,7 +7,7 @@
 //!
 //! Column indices and the row-pointer table are stored as `u32`: the largest
 //! attack topologies stay far below four billion states/entries, and halving
-//! the index width halves the sweep kernels' resident working set. The
+//! the index width halves the sweeps' resident working set. The
 //! `usize`-taking constructors convert with overflow *checks*
 //! ([`LinalgError::IndexOverflow`]) — a topology that genuinely exceeds
 //! `u32::MAX` fails loudly instead of wrapping.

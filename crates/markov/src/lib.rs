@@ -47,13 +47,12 @@ pub use classify::{StateClass, StronglyConnectedComponents};
 pub use error::MarkovError;
 pub use hitting::HittingAnalysis;
 pub use parallel::{
-    mass_balanced_blocks, mass_capped_threads, priority_blocks, sweep_scope, BlockPool,
-    SolverParallelism, SweepKernel, MAX_PRIORITY_BLOCKS, MIN_BLOCK_MASS,
+    mass_balanced_blocks, mass_capped_threads, sweep_scope, BlockPool, SolverParallelism,
+    MIN_BLOCK_MASS,
 };
 pub use reward::{
     iterative_gain, iterative_gains, iterative_gains_seeded, iterative_gains_seeded_with,
-    iterative_gains_seeded_with_kernel, long_run_average_reward,
-    total_expected_reward_until_absorption,
+    long_run_average_reward, total_expected_reward_until_absorption,
 };
 pub use stationary::{StationaryDistribution, StationaryMethod};
 

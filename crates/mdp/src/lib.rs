@@ -16,18 +16,17 @@
 //! * [`PositionalStrategy`] — memoryless deterministic strategies, which are
 //!   sufficient for mean-payoff optimality (Puterman, Thm. 9.1.8).
 //! * Solvers for the *maximal mean payoff*:
-//!   [`RelativeValueIteration`] (sparse, scales to the large selfish-mining
-//!   models), [`PolicyIteration`] (Howard's algorithm, exact via linear
-//!   solves) and [`LinearProgrammingSolver`] (gain LP over the `sm-linalg`
-//!   simplex), plus [`DiscountedValueIteration`] for discounted objectives.
-//! * [`MeanPayoffSolver`] — a façade that picks a solver and returns a
-//!   [`MeanPayoffResult`] with certified lower/upper bounds on the optimal
-//!   gain together with an optimal (up to the requested precision) strategy.
+//!   [`RelativeValueIteration`] — the production solver: sparse Jacobi
+//!   sweeps over the arena that return certified lower/upper bounds on the
+//!   optimal gain together with an optimal (up to the requested precision)
+//!   strategy and the final bias vector, and scale to the large
+//!   selfish-mining models — and [`PolicyIteration`] (Howard's algorithm,
+//!   exact via dense linear solves), the oracle the tests check it against.
 //!
 //! # Example
 //!
 //! ```
-//! use sm_mdp::{MdpBuilder, MeanPayoffSolver, TransitionRewards};
+//! use sm_mdp::{MdpBuilder, RelativeValueIteration, TransitionRewards};
 //!
 //! # fn main() -> Result<(), sm_mdp::MdpError> {
 //! // A two-state MDP: in state 0 the action `stay` earns 1 and loops,
@@ -45,8 +44,9 @@
 //!         _ => 0.0,
 //!     }
 //! });
-//! let result = MeanPayoffSolver::default().solve(&mdp, &rewards)?;
-//! assert!((result.gain - 1.0).abs() < 1e-6);
+//! let result = RelativeValueIteration::with_epsilon(1e-7).solve(&mdp, &rewards)?;
+//! assert!(result.gain_lower <= 1.0 && 1.0 <= result.gain_upper);
+//! assert_eq!(result.strategy.action(0), 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,31 +55,24 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-mod discounted;
 mod error;
-mod lp;
 mod model;
 mod policy_iteration;
 mod rewards;
-mod solver;
 mod strategy;
 mod value_iteration;
 
 pub use csr::{CsrLayout, CsrMdp, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
-pub use discounted::{DiscountedResult, DiscountedValueIteration};
 pub use error::MdpError;
-pub use lp::LinearProgrammingSolver;
 pub use model::{ActionRef, Mdp, MdpBuilder};
 pub use policy_iteration::{PolicyEvaluation, PolicyIteration};
 pub use rewards::TransitionRewards;
-pub use solver::{MeanPayoffMethod, MeanPayoffResult, MeanPayoffSolver};
 pub use strategy::PositionalStrategy;
 pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};
 
-// Intra-solve parallelism and sweep-kernel vocabulary, shared with the
-// chain-evaluation sweeps: re-exported so solver users configure everything
-// from one crate.
-pub use sm_markov::{SolverParallelism, SweepKernel};
+// Intra-solve parallelism, shared with the chain-evaluation sweeps:
+// re-exported so solver users configure everything from one crate.
+pub use sm_markov::SolverParallelism;
 
 /// Tolerance used when validating transition probability distributions.
 pub const PROBABILITY_TOLERANCE: f64 = 1e-9;

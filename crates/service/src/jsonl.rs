@@ -299,4 +299,18 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn deeply_nested_lines_get_an_error_response() {
+        // One hostile line must not overflow the daemon's stack.
+        let service = service();
+        let (response, shutdown) = respond(&service, &"[".repeat(100_000));
+        assert!(!shutdown);
+        let mut rendered = String::new();
+        write_json(&response, &mut rendered);
+        assert!(
+            rendered.contains("\"status\":\"error\"") && rendered.contains("nesting deeper"),
+            "{rendered}"
+        );
+    }
 }

@@ -4,10 +4,11 @@
 //! This crate re-exports the workspace members under one roof so that the
 //! examples and integration tests can depend on a single package:
 //!
-//! * [`linalg`] — dense/sparse linear algebra, LU and a simplex LP solver.
+//! * [`linalg`] — dense/sparse linear algebra and LU factorisation.
 //! * [`markov`] — Markov-chain analysis (SCCs, stationary distributions,
 //!   long-run averages, hitting analysis).
-//! * [`mdp`] — finite MDPs and mean-payoff solvers.
+//! * [`mdp`] — finite MDPs, the relative-value-iteration mean-payoff solver
+//!   and the exact policy-iteration oracle.
 //! * [`proofs`] — simulated efficient proof systems (PoW, PoStake, PoSpace,
 //!   VDF, PoST) and the `(p, k)`-mining abstraction.
 //! * [`chain`] — the discrete-time longest-chain blockchain simulator.

@@ -105,7 +105,7 @@ type ModelDescription = Vec<Vec<(String, Vec<(usize, f64)>)>>;
 
 /// One random small MDP described as raw per-state action lists.
 /// Every action carries a guaranteed transition back to state 0, which makes
-/// every induced chain unichain — the precondition of the LP solver.
+/// every induced chain unichain — the precondition of relative value iteration.
 fn random_model_description(rng: &mut StdRng) -> ModelDescription {
     let num_states = rng.gen_range(2usize..6); // 2..=5
     let mut states = Vec::with_capacity(num_states);
@@ -158,11 +158,12 @@ fn build_arena(description: &ModelDescription) -> sm_mdp::Mdp {
 
 /// Property: on random small MDPs, the legacy nested builder path and the
 /// streaming CSR arena path produce *identical* models (same arena layout,
-/// probabilities and interned names), and VI, PI and LP each report the same
-/// optimal gain and the same strategy on both.
+/// probabilities and interned names), and relative value iteration and
+/// policy iteration each report the same optimal gain and the same strategy
+/// on both.
 #[test]
 fn nested_and_csr_arena_builders_are_equivalent() {
-    use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, TransitionRewards};
+    use sm_mdp::{PolicyIteration, RelativeValueIteration, TransitionRewards};
 
     let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
     for case in 0..25 {
@@ -186,25 +187,28 @@ fn nested_and_csr_arena_builders_are_equivalent() {
         // Buffers built against either representation align with both.
         assert!(r_nested.matches(&arena) && r_arena.matches(&nested));
 
-        for method in [
-            MeanPayoffMethod::ValueIteration { epsilon: 1e-9 },
-            MeanPayoffMethod::PolicyIteration,
-            MeanPayoffMethod::LinearProgramming,
-        ] {
-            let solver = MeanPayoffSolver::new(method.clone());
-            let a = solver.solve(&nested, &r_nested).unwrap();
-            let b = solver.solve(&arena, &r_arena).unwrap();
-            assert_eq!(
-                a.strategy, b.strategy,
-                "case {case}: {method:?} strategies diverge"
-            );
-            assert!(
-                (a.gain - b.gain).abs() < 1e-12,
-                "case {case}: {method:?} gains diverge: {} vs {}",
-                a.gain,
-                b.gain
-            );
-        }
+        let rvi = RelativeValueIteration::with_epsilon(1e-9);
+        let a = rvi.solve(&nested, &r_nested).unwrap();
+        let b = rvi.solve(&arena, &r_arena).unwrap();
+        assert_eq!(
+            a.strategy, b.strategy,
+            "case {case}: RVI strategies diverge"
+        );
+        assert!(
+            (a.gain - b.gain).abs() < 1e-12,
+            "case {case}: RVI gains diverge: {} vs {}",
+            a.gain,
+            b.gain
+        );
+        let (a_gain, a_strategy) = PolicyIteration::default()
+            .solve(&nested, &r_nested)
+            .unwrap();
+        let (b_gain, b_strategy) = PolicyIteration::default().solve(&arena, &r_arena).unwrap();
+        assert_eq!(a_strategy, b_strategy, "case {case}: PI strategies diverge");
+        assert!(
+            (a_gain - b_gain).abs() < 1e-12,
+            "case {case}: PI gains diverge: {a_gain} vs {b_gain}"
+        );
     }
 }
 

@@ -1,8 +1,9 @@
 //! Equivalence of the parameterized transition arena and the direct model
 //! builder: `ParametricModel::instantiate(p, γ)` must reproduce
 //! `SelfishMiningModel::build` **bit for bit** (states, CSR arrays,
-//! probabilities, rewards, VI/PI gains and strategies) for interior
-//! parameters, and must agree on every solver-level result for the masked
+//! probabilities, rewards) for interior parameters — deterministic solvers
+//! fed identical arrays then return identical results, so no solve is
+//! repeated to show it — and must agree on every solver-level result for the masked
 //! edge cases `γ ∈ {0, 1}` and `p ∈ {0, 1}`, where the direct builder prunes
 //! zero-probability branches while the parametric arena keeps them
 //! structurally.
@@ -10,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfish_mining::{AnalysisProcedure, AttackParams, ParametricModel, SelfishMiningModel};
-use sm_mdp::{PolicyIteration, RelativeValueIteration};
+use sm_mdp::RelativeValueIteration;
 
 /// The `(d, f, l)` topologies swept by the equivalence properties.
 const TOPOLOGIES: [(usize, usize, usize); 4] = [(1, 1, 2), (2, 1, 3), (2, 2, 3), (1, 2, 4)];
@@ -40,39 +41,18 @@ fn assert_bit_identical(instantiated: &SelfishMiningModel, built: &SelfishMining
     assert_eq!(instantiated.params(), built.params());
 }
 
-/// Identical inputs make the deterministic solvers produce identical outputs;
-/// assert exactly that (no tolerances) for VI and PI at a non-trivial β.
-fn assert_identical_solver_results(a: &SelfishMiningModel, b: &SelfishMiningModel) {
-    let beta = 0.35;
-    let ra = a.beta_rewards(beta).unwrap();
-    let rb = b.beta_rewards(beta).unwrap();
-    let vi = RelativeValueIteration::with_epsilon(1e-7);
-    let va = vi.solve(a.mdp(), &ra).unwrap();
-    let vb = vi.solve(b.mdp(), &rb).unwrap();
-    assert_eq!(va.gain, vb.gain, "VI gains must be bit-identical");
-    assert_eq!(va.strategy, vb.strategy, "VI strategies must be identical");
-    assert_eq!(va.iterations, vb.iterations);
-    let (pa, sa) = PolicyIteration::default().solve(a.mdp(), &ra).unwrap();
-    let (pb, sb) = PolicyIteration::default().solve(b.mdp(), &rb).unwrap();
-    assert_eq!(pa, pb, "PI gains must be bit-identical");
-    assert_eq!(sa, sb, "PI strategies must be identical");
-}
-
 #[test]
 fn interior_instantiation_is_bit_for_bit_identical() {
     let mut rng = StdRng::seed_from_u64(0x9A7A_11E1);
     for &(d, f, l) in &TOPOLOGIES {
         let family = ParametricModel::build(d, f, l).unwrap();
-        for case in 0..4 {
+        for _ in 0..4 {
             // Strictly interior (p, γ): the direct builder prunes nothing.
             let p = 0.05 + rng.gen_range(0.0..0.85);
             let gamma = 0.05 + rng.gen_range(0.0..0.9);
             let instantiated = family.instantiate(p, gamma).unwrap();
             let built = fresh(p, gamma, d, f, l);
             assert_bit_identical(&instantiated, &built);
-            if case == 0 {
-                assert_identical_solver_results(&instantiated, &built);
-            }
         }
     }
 }
